@@ -17,8 +17,8 @@
 use std::fmt;
 use std::io::{self, Read, Write};
 
-use crate::MissRecord;
-use tcp_mem::{Addr, CacheGeometry};
+use crate::{MissRecord, TraceReader};
+use tcp_mem::CacheGeometry;
 
 const MAGIC: &[u8; 4] = b"TCPT";
 const VERSION: u8 = 1;
@@ -165,8 +165,7 @@ pub fn write_trace<W: Write>(mut w: W, records: &[MissRecord]) -> io::Result<()>
 }
 
 /// Reads and validates the fixed header (magic, version, record count)
-/// and returns the declared record count. Shared between the
-/// materialized [`read_trace`] and the chunked [`crate::TraceReader`].
+/// and returns the declared record count, for [`TraceReader::new`].
 pub(crate) fn read_header<R: Read>(r: &mut R) -> Result<u64, TraceError> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -204,7 +203,8 @@ pub(crate) fn fill_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize
 }
 
 /// Reads a trace written by [`write_trace`], re-deriving line/tag/set
-/// fields under `geom`.
+/// fields under `geom`: the [`TraceReader`] chunk decoder, with every
+/// chunk's records collected into one `Vec`.
 ///
 /// # Errors
 ///
@@ -216,39 +216,12 @@ pub(crate) fn fill_up_to<R: Read>(r: &mut R, buf: &mut [u8]) -> io::Result<usize
 /// [`TraceError::TruncatedMidRecord`] when it ends inside a record (the
 /// torn bytes are never decoded into a partial record), and
 /// [`TraceError::Io`] for underlying reader failures.
-pub fn read_trace<R: Read>(mut r: R, geom: CacheGeometry) -> Result<Vec<MissRecord>, TraceError> {
-    let count = read_header(&mut r)?;
-    let mut out = Vec::with_capacity(usize::try_from(count).unwrap_or(0).min(PREALLOC_CAP));
-    let mut rec = [0u8; RECORD_BYTES];
-    for read in 0..count {
-        let filled = fill_up_to(&mut r, &mut rec)?;
-        if filled < RECORD_BYTES {
-            return Err(if filled == 0 {
-                TraceError::Truncated {
-                    declared: count,
-                    read,
-                }
-            } else {
-                TraceError::TruncatedMidRecord {
-                    declared: count,
-                    read,
-                    partial_bytes: filled,
-                }
-            });
-        }
-        let mut word = [0u8; 8];
-        word.copy_from_slice(&rec[0..8]);
-        let pc = Addr::new(u64::from_le_bytes(word));
-        word.copy_from_slice(&rec[8..16]);
-        let addr = Addr::new(u64::from_le_bytes(word));
-        let (tag, set) = geom.split(addr);
-        out.push(MissRecord {
-            addr,
-            line: geom.line_addr(addr),
-            tag,
-            set,
-            pc,
-        });
+pub fn read_trace<R: Read>(r: R, geom: CacheGeometry) -> Result<Vec<MissRecord>, TraceError> {
+    let mut reader = TraceReader::new(r, geom)?;
+    let declared = usize::try_from(reader.declared()).unwrap_or(0);
+    let mut out = Vec::with_capacity(declared.min(PREALLOC_CAP));
+    while let Some(chunk) = reader.next_chunk()? {
+        out.extend(chunk.records());
     }
     Ok(out)
 }
@@ -257,7 +230,7 @@ pub fn read_trace<R: Read>(mut r: R, geom: CacheGeometry) -> Result<Vec<MissReco
 mod tests {
     use super::*;
     use crate::miss_stream;
-    use tcp_mem::MemAccess;
+    use tcp_mem::{Addr, MemAccess};
 
     fn l1() -> CacheGeometry {
         CacheGeometry::new(32 * 1024, 32, 1)

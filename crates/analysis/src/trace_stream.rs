@@ -1,10 +1,7 @@
 //! Chunked, bounded-memory streaming decode of persisted miss traces.
 //!
-//! [`read_trace`](crate::read_trace) materializes a whole trace into one
-//! `Vec<MissRecord>` before anything downstream runs — O(trace) peak
-//! memory and a serial cold pass. The types here replace that with a
-//! pull-model pipeline whose peak memory is O([`STREAM_CHUNK`]) no
-//! matter how long the trace is:
+//! This is the one trace decoder. Its peak memory is O([`STREAM_CHUNK`])
+//! no matter how long the trace is, and everything else is built on it:
 //!
 //! * [`TraceReader`] — validates the header once, then decodes up to
 //!   [`STREAM_CHUNK`] records per [`TraceReader::next_chunk`] call into a
@@ -12,7 +9,10 @@
 //! * [`TraceChunk`] — the SoA buffer: parallel `pc` / `addr` / `line` /
 //!   `tag` / `set` columns, with record-view accessors;
 //! * [`TraceStream`] — an iterator adapter over the reader yielding
-//!   `Result<MissRecord, TraceError>` one record at a time.
+//!   `Result<MissRecord, TraceError>` one record at a time;
+//! * [`read_trace`](crate::read_trace) — collects every chunk's records
+//!   into one `Vec<MissRecord>` (O(trace) memory, for callers that want
+//!   the whole trace at once).
 //!
 //! The byte decode walks fixed-width blocks of [`BLOCK`] records whose
 //! trip counts are compile-time constants — the same shape as the
@@ -20,8 +20,7 @@
 //! unrolls flat instead of running one `read_exact` syscall-shaped call
 //! per record.
 //!
-//! Truncation discipline matches the materialized reader exactly: a
-//! stream cut on a record boundary surfaces as
+//! Truncation discipline: a stream cut on a record boundary surfaces as
 //! [`TraceError::Truncated`], a cut inside a record as
 //! [`TraceError::TruncatedMidRecord`], and in both cases every *whole*
 //! record before the cut is still delivered first — torn bytes never
@@ -184,9 +183,9 @@ impl TraceChunk {
     }
 }
 
-/// Chunked reader over a serialized trace: the streaming counterpart of
-/// [`read_trace`](crate::read_trace), decoding [`STREAM_CHUNK`] records
-/// at a time into a reused [`TraceChunk`].
+/// Chunked reader over a serialized trace, decoding [`STREAM_CHUNK`]
+/// records at a time into a reused [`TraceChunk`].
+/// [`read_trace`](crate::read_trace) and [`TraceStream`] are built on it.
 ///
 /// # Examples
 ///
@@ -232,8 +231,9 @@ impl<R: Read> TraceReader<R> {
     /// # Errors
     ///
     /// Returns [`TraceError::BadMagic`] /
-    /// [`TraceError::UnsupportedVersion`] / [`TraceError::Io`] exactly as
-    /// [`read_trace`](crate::read_trace) would for the same header bytes.
+    /// [`TraceError::UnsupportedVersion`] when the stream is not a
+    /// readable TCP trace, and [`TraceError::Io`] when it is too short to
+    /// hold the header or the reader fails.
     pub fn new(mut inner: R, geom: CacheGeometry) -> Result<Self, TraceError> {
         let declared = read_header(&mut inner)?;
         Ok(TraceReader {

@@ -222,20 +222,43 @@ impl CycleBuckets {
     }
 }
 
-/// Persistent scheduling state of one simulated instruction stream: the
-/// rings, per-cycle resource buckets, and front-end status that the
-/// interval model threads from op to op. Extracted from the run loop so
-/// [`OooCore::run`] and incremental drivers (`tcp-sim`'s stepping
-/// `Simulation`) share one implementation.
+/// An incrementally-driven core: feed ops one at a time and inspect
+/// progress between steps. This is the only core driver: [`OooCore::run`]
+/// is a loop over it, and `tcp-sim`'s chunked `Simulation` pauses it
+/// between chunks to expose mid-run statistics.
+///
+/// # Examples
+///
+/// ```
+/// use tcp_cache::{HierarchyConfig, MemoryHierarchy, NullPrefetcher};
+/// use tcp_cpu::{CoreConfig, MicroOp, SteppedCore};
+/// use tcp_mem::Addr;
+///
+/// let mut h = MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher));
+/// let mut core = SteppedCore::new(CoreConfig::default());
+/// for i in 0..100u64 {
+///     core.step(MicroOp::load(Addr::new((i * 4) % 256), Addr::new(i * 8)), &mut h);
+/// }
+/// assert_eq!(core.ops_executed(), 100);
+/// assert!(core.cycles() > 0);
+/// ```
 #[derive(Debug)]
-pub(crate) struct CoreState {
+pub struct SteppedCore {
+    cfg: CoreConfig,
+    /// Ops stepped so far, warm-up included.
+    i: u64,
+    run: CoreRun,
+    warmup_ops: u64,
+    measure_from_cycle: u64,
+    // Scheduling state the interval model threads from op to op: the
+    // rings, per-cycle resource buckets, and front-end status.
     commit_ring: Vec<u64>,
     complete_ring: Vec<u64>,
     fetch_cycle: u64,
     fetched_this_cycle: u32,
     commit_cycle: u64,
     committed_this_cycle: u32,
-    pub(crate) last_commit: u64,
+    last_commit: u64,
     issue_slots: CycleBuckets,
     pools: [CycleBuckets; 5],
     mispredict_rng: tcp_mem::SplitMix64,
@@ -244,9 +267,37 @@ pub(crate) struct CoreState {
     last_iline: Option<tcp_mem::LineAddr>,
 }
 
-impl CoreState {
-    pub(crate) fn new(cfg: &CoreConfig) -> Self {
-        CoreState {
+impl SteppedCore {
+    /// Creates a stepped core with fresh scheduling state and no
+    /// warm-up: every op is measured.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same configuration constraints as
+    /// [`OooCore::new`].
+    pub fn new(cfg: CoreConfig) -> Self {
+        SteppedCore::with_warmup(cfg, 0)
+    }
+
+    /// Creates a stepped core whose first `warmup_ops` micro-ops are an
+    /// unmeasured warm-up. Stepping op number `warmup_ops` crosses the
+    /// boundary: hierarchy statistics are reset and the measured
+    /// cycle/op window opens. Until then the cycle window spans the
+    /// whole run but [`SteppedCore::measured_ops`] is 0, so a run that
+    /// never crosses the boundary reports 0 measured ops.
+    ///
+    /// # Panics
+    ///
+    /// Panics under the same configuration constraints as
+    /// [`OooCore::new`].
+    pub fn with_warmup(cfg: CoreConfig, warmup_ops: u64) -> Self {
+        let cfg = *OooCore::new(cfg).config(); // validates
+        SteppedCore {
+            cfg,
+            i: 0,
+            run: CoreRun::default(),
+            warmup_ops,
+            measure_from_cycle: 0,
             commit_ring: vec![0; cfg.window],
             complete_ring: vec![0; cfg.window],
             fetch_cycle: 0,
@@ -265,16 +316,17 @@ impl CoreState {
         }
     }
 
-    /// Schedules one op (op index `i` in program order) and updates the
-    /// run counters.
-    pub(crate) fn step_op(
-        &mut self,
-        cfg: &CoreConfig,
-        i: u64,
-        op: MicroOp,
-        hierarchy: &mut MemoryHierarchy,
-        run: &mut CoreRun,
-    ) {
+    /// Schedules one micro-op, crossing the warm-up boundary first when
+    /// this is op number `warmup_ops`.
+    pub fn step(&mut self, op: MicroOp, hierarchy: &mut MemoryHierarchy) {
+        let i = self.i;
+        if i == self.warmup_ops && i > 0 {
+            self.measure_from_cycle = self.last_commit;
+            hierarchy.reset_stats();
+            self.run.loads = 0;
+            self.run.stores = 0;
+        }
+        let cfg = &self.cfg;
         let w = cfg.window;
         let slot = (i as usize) % w;
 
@@ -342,9 +394,9 @@ impl CoreState {
         let complete_t = match op.mem_access() {
             Some(acc) => {
                 if acc.kind.is_store() {
-                    run.stores += 1;
+                    self.run.stores += 1;
                 } else {
-                    run.loads += 1;
+                    self.run.loads += 1;
                 }
                 hierarchy.access(acc, issue_t).completes_at
             }
@@ -387,6 +439,42 @@ impl CoreState {
                 p.prune_below(self.fetch_cycle);
             }
         }
+        self.i += 1;
+    }
+
+    /// Ops executed so far, warm-up included.
+    pub fn ops_executed(&self) -> u64 {
+        self.i
+    }
+
+    /// Cycles elapsed up to the last committed op, excluding the cycles
+    /// before the warm-up boundary once it has been crossed.
+    pub fn cycles(&self) -> u64 {
+        if self.i == 0 {
+            0
+        } else {
+            (self.last_commit + 1).saturating_sub(self.measure_from_cycle)
+        }
+    }
+
+    /// IPC over the measured window so far.
+    pub fn ipc(&self) -> f64 {
+        self.snapshot().ipc()
+    }
+
+    /// Ops executed past the warm-up boundary (0 until it is crossed).
+    pub fn measured_ops(&self) -> u64 {
+        self.i.saturating_sub(self.warmup_ops)
+    }
+
+    /// A [`CoreRun`] snapshot of progress in the measured window.
+    pub fn snapshot(&self) -> CoreRun {
+        CoreRun {
+            ops: self.measured_ops(),
+            cycles: self.cycles(),
+            loads: self.run.loads,
+            stores: self.run.stores,
+        }
     }
 }
 
@@ -428,10 +516,10 @@ impl OooCore {
     }
 
     /// Like [`OooCore::run`], but the first `warmup_ops` micro-ops warm
-    /// the caches and predictor tables without being measured: hierarchy
-    /// statistics are reset and the cycle/op counters restart at the
-    /// warm-up boundary, mirroring the paper's methodology of skipping
-    /// the first billion instructions before measuring two billion.
+    /// the caches and predictor tables without being measured, mirroring
+    /// the paper's methodology of skipping the first billion
+    /// instructions before measuring two billion. The warm-up rule is
+    /// [`SteppedCore::with_warmup`]'s; this is a loop over it.
     pub fn run_with_warmup<I>(
         &mut self,
         ops: I,
@@ -441,141 +529,11 @@ impl OooCore {
     where
         I: IntoIterator<Item = MicroOp>,
     {
-        let mut state = CoreState::new(&self.cfg);
-        let mut run = CoreRun::default();
-        let mut i: u64 = 0;
-        let mut measure_start_cycle = 0u64;
-
+        let mut core = SteppedCore::with_warmup(self.cfg, warmup_ops);
         for op in ops {
-            if i == warmup_ops && warmup_ops > 0 {
-                measure_start_cycle = state.last_commit;
-                hierarchy.reset_stats();
-                run.loads = 0;
-                run.stores = 0;
-            }
-            state.step_op(&self.cfg, i, op, hierarchy, &mut run);
-            i += 1;
+            core.step(op, hierarchy);
         }
-        let last_commit = state.last_commit;
-        run.ops = i.saturating_sub(warmup_ops.min(i));
-        run.cycles = (last_commit + 1).saturating_sub(measure_start_cycle);
-        run
-    }
-}
-
-/// An incrementally-driven core: feed ops one at a time and inspect
-/// progress between steps. [`OooCore::run`] is the batch driver over the
-/// same machinery; this type exists for interactive tooling and for
-/// `tcp-sim`'s chunked `Simulation` driver, which pauses between chunks
-/// to expose mid-run statistics.
-///
-/// # Examples
-///
-/// ```
-/// use tcp_cache::{HierarchyConfig, MemoryHierarchy, NullPrefetcher};
-/// use tcp_cpu::{CoreConfig, MicroOp, SteppedCore};
-/// use tcp_mem::Addr;
-///
-/// let mut h = MemoryHierarchy::new(HierarchyConfig::default(), Box::new(NullPrefetcher));
-/// let mut core = SteppedCore::new(CoreConfig::default());
-/// for i in 0..100u64 {
-///     core.step(MicroOp::load(Addr::new((i * 4) % 256), Addr::new(i * 8)), &mut h);
-/// }
-/// assert_eq!(core.ops_executed(), 100);
-/// assert!(core.cycles() > 0);
-/// ```
-#[derive(Debug)]
-pub struct SteppedCore {
-    cfg: CoreConfig,
-    state: CoreState,
-    i: u64,
-    run: CoreRun,
-    measure_from_ops: u64,
-    measure_from_cycle: u64,
-}
-
-impl SteppedCore {
-    /// Creates a stepped core with fresh scheduling state.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same configuration constraints as
-    /// [`OooCore::new`].
-    pub fn new(cfg: CoreConfig) -> Self {
-        let core = OooCore::new(cfg); // validates
-        let cfg = core.cfg;
-        let state = CoreState::new(&cfg);
-        SteppedCore {
-            cfg,
-            state,
-            i: 0,
-            run: CoreRun::default(),
-            measure_from_ops: 0,
-            measure_from_cycle: 0,
-        }
-    }
-
-    /// Marks the warm-up boundary: ops and cycles before this call are
-    /// excluded from [`SteppedCore::snapshot`], [`SteppedCore::cycles`],
-    /// and [`SteppedCore::ipc`], mirroring [`OooCore::run_with_warmup`].
-    /// The caller resets hierarchy statistics at the same point.
-    pub fn begin_measurement(&mut self) {
-        self.measure_from_ops = self.i;
-        self.measure_from_cycle = if self.i == 0 {
-            0
-        } else {
-            self.state.last_commit
-        };
-        self.run.loads = 0;
-        self.run.stores = 0;
-    }
-
-    /// Schedules one micro-op.
-    pub fn step(&mut self, op: MicroOp, hierarchy: &mut MemoryHierarchy) {
-        self.state
-            .step_op(&self.cfg, self.i, op, hierarchy, &mut self.run);
-        self.i += 1;
-    }
-
-    /// Ops executed so far.
-    pub fn ops_executed(&self) -> u64 {
-        self.i
-    }
-
-    /// Cycles elapsed up to the last committed op, excluding any cycles
-    /// before the [`SteppedCore::begin_measurement`] boundary.
-    pub fn cycles(&self) -> u64 {
-        if self.i == 0 {
-            0
-        } else {
-            (self.state.last_commit + 1).saturating_sub(self.measure_from_cycle)
-        }
-    }
-
-    /// IPC over the measured window so far.
-    pub fn ipc(&self) -> f64 {
-        let c = self.cycles();
-        if c == 0 {
-            0.0
-        } else {
-            self.measured_ops() as f64 / c as f64
-        }
-    }
-
-    /// Ops executed since the measurement boundary (all ops if
-    /// [`SteppedCore::begin_measurement`] was never called).
-    pub fn measured_ops(&self) -> u64 {
-        self.i.saturating_sub(self.measure_from_ops)
-    }
-
-    /// A [`CoreRun`] snapshot of progress in the measured window.
-    pub fn snapshot(&self) -> CoreRun {
-        CoreRun {
-            ops: self.measured_ops(),
-            cycles: self.cycles(),
-            loads: self.run.loads,
-            stores: self.run.stores,
-        }
+        core.snapshot()
     }
 }
 
@@ -610,6 +568,7 @@ mod tests {
     fn empty_stream_is_zero() {
         let r = run_ops(vec![]);
         assert_eq!(r.ops, 0);
+        assert_eq!(r.cycles, 0);
         assert_eq!(r.ipc(), 0.0);
     }
 

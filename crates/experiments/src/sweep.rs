@@ -471,9 +471,8 @@ impl SweepEngine {
 }
 
 /// Runs one job under its watchdog, retrying a wedge up to
-/// `opts.max_retries` times with a relaxed cap. For healthy runs the
-/// supervised runner is cycle-exact with [`run_benchmark`] (the PR 1
-/// parity contract), so results are interchangeable with
+/// `opts.max_retries` times with a relaxed cap. [`run_benchmark`] wraps
+/// the same single-run loop, so results are interchangeable with
 /// [`SweepEngine::run`]'s.
 fn run_supervised(job: &Job, opts: &CheckpointOpts) -> Result<RunResult, SimError> {
     let mut watchdog = opts.watchdog;

@@ -101,7 +101,7 @@ pub fn find_workspace_root(start: &Path) -> Option<PathBuf> {
 /// it needs crates.io to *compile*, not to lint), and every member the
 /// root `Cargo.toml` declares — so adding a crate to the workspace adds
 /// it to lint coverage in the same edit. Manifest `exclude` entries are
-/// honored (`crates/bench` needs crates.io); lint fixtures are
+/// honored; lint fixtures are
 /// deliberately-bad code and are skipped at collection time. A manifest
 /// with no parseable members (synthetic test workspaces) falls back to
 /// listing `crates/` directly.
@@ -128,7 +128,7 @@ pub fn workspace_sources(root: &Path) -> io::Result<Vec<PathBuf>> {
         if crates.is_dir() {
             for entry in fs::read_dir(&crates)? {
                 let entry = entry?;
-                if entry.path().is_dir() && entry.file_name() != "bench" {
+                if entry.path().is_dir() {
                     crate_dirs.push(entry.path());
                 }
             }

@@ -48,7 +48,7 @@ pub const CASES: &[CaseSpec] = &[
     },
     CaseSpec {
         name: "trace_decode",
-        about: "read_trace decode of an in-memory TCPT trace",
+        about: "read_trace of an in-memory TCPT trace: the TraceReader chunk decode plus materializing every record into one Vec",
     },
     CaseSpec {
         name: "trace_stream_decode",
@@ -213,9 +213,10 @@ fn trace_decode(smoke: bool, opts: MeasureOpts) -> CaseResult {
 }
 
 fn trace_stream_decode(smoke: bool, opts: MeasureOpts) -> CaseResult {
-    // Same trace as `trace_decode`, decoded through the streaming
-    // chunked path instead: the pair is what `tcp-perf ratio` gates the
-    // ≥1.3× streaming speedup on.
+    // Same trace as `trace_decode`, decoded chunk by chunk without
+    // materializing records: since `read_trace` runs the same chunk
+    // decoder, the ≥1.3× ratio `tcp-perf ratio` gates on this pair is the
+    // cost of collecting the records into a `Vec`.
     let n_ops: u64 = if smoke { 400_000 } else { 2_000_000 };
     let l1 = SystemConfig::table1().hierarchy.l1d;
     let records: Vec<MissRecord> =

@@ -8,18 +8,20 @@
 //!
 //! # Fault tolerance
 //!
-//! The runner comes in two tiers. The classic functions
-//! ([`run_benchmark`], [`ipc_improvement`]) panic on bad input, which is
-//! right for the experiment harness where every configuration is shipped
-//! and known-good. The checked tier ([`try_run_benchmark`],
-//! [`try_ipc_improvement`]) validates the machine first
-//! ([`SystemConfig::validate`]), supervises forward progress with a
-//! [`Watchdog`], and returns typed [`SimError`]s. The suite runners
-//! ([`run_suite`], [`run_suite_parallel`]) build on the checked tier and
-//! additionally isolate each benchmark behind a panic boundary: a
-//! degenerate workload becomes a [`RunOutcome::Failed`] entry in the
-//! [`SuiteResult`] while the remaining benchmarks complete. The [`faults`]
-//! module provides deliberately broken inputs for exercising all of this.
+//! Every run goes through one loop, [`try_run_benchmark_warm`]: it
+//! validates the machine first ([`SystemConfig::validate`]), steps a
+//! [`Simulation`] under a [`Watchdog`] that supervises forward progress,
+//! and returns typed [`SimError`]s. [`try_run_benchmark`] and
+//! [`try_ipc_improvement`] are its checked companions; the classic
+//! functions ([`run_benchmark`], [`run_benchmark_warm`],
+//! [`ipc_improvement`]) wrap it and panic on bad input, which is right
+//! for the experiment harness where every configuration is shipped and
+//! known-good. The suite runners ([`run_suite_parallel`],
+//! [`run_suite_parallel_with_threads`]) additionally isolate each
+//! benchmark behind a panic boundary: a degenerate workload becomes a
+//! [`RunOutcome::Failed`] entry in the [`SuiteResult`] while the
+//! remaining benchmarks complete. The [`faults`] module provides
+//! deliberately broken inputs for exercising all of this.
 //!
 //! # Examples
 //!
@@ -47,9 +49,8 @@ pub mod sweep;
 pub use config::SystemConfig;
 pub use error::{ConfigError, RunError, SimError, TraceError};
 pub use runner::{
-    ipc_improvement, map_benchmarks_parallel, map_benchmarks_parallel_with_threads, run_benchmark,
-    run_benchmark_warm, run_suite, run_suite_parallel, run_suite_parallel_with_threads,
-    try_ipc_improvement, try_run_benchmark, try_run_benchmark_warm, RunOutcome, RunResult,
-    SuiteResult, Watchdog,
+    ipc_improvement, run_benchmark, run_benchmark_warm, run_suite_parallel,
+    run_suite_parallel_with_threads, try_ipc_improvement, try_run_benchmark,
+    try_run_benchmark_warm, RunOutcome, RunResult, SuiteResult, Watchdog,
 };
 pub use simulation::{Simulation, StepProgress};

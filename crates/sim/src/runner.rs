@@ -1,28 +1,24 @@
 //! Run driver: one benchmark × one prefetcher → timing and traffic
 //! results; suite driver for all 26 benchmarks.
 //!
-//! Two tiers of API live here:
+//! Every single run goes through [`try_run_benchmark_warm`]: it validates
+//! the machine, steps a [`Simulation`] under a [`Watchdog`], and returns
+//! typed [`SimError`]s. The other runners wrap it — [`try_run_benchmark`]
+//! with the usual half-length warm-up, and the panicking
+//! [`run_benchmark`] / [`run_benchmark_warm`] (with [`ipc_improvement`])
+//! for the experiment harness, where inputs are known-good.
 //!
-//! * the classic panicking runners ([`run_benchmark`],
-//!   [`run_benchmark_warm`], [`ipc_improvement`]) used by the experiment
-//!   harness where inputs are known-good; and
-//! * the fault-tolerant tier ([`try_run_benchmark`],
-//!   [`try_run_benchmark_warm`], [`try_ipc_improvement`]) that validates
-//!   the machine first, supervises forward progress with a [`Watchdog`],
-//!   and returns typed [`SimError`]s instead of panicking.
-//!
-//! The suite runners ([`run_suite`], [`run_suite_parallel`]) sit on the
-//! fault-tolerant tier: every benchmark executes inside a panic boundary
-//! and its result is recorded as a [`RunOutcome`], so one degenerate
-//! workload produces a structured `Failed` entry instead of aborting the
-//! other 25 benchmarks.
+//! The suite runners ([`run_suite_parallel`],
+//! [`run_suite_parallel_with_threads`]) run every benchmark inside a
+//! panic boundary and record its result as a [`RunOutcome`], so one
+//! degenerate workload produces a structured `Failed` entry instead of
+//! aborting the other 25 benchmarks.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use crate::error::{RunError, SimError};
-use crate::SystemConfig;
-use tcp_cache::{HierarchyStats, MemoryHierarchy, Prefetcher};
-use tcp_cpu::{OooCore, SteppedCore};
+use crate::{Simulation, SystemConfig};
+use tcp_cache::{HierarchyStats, Prefetcher};
 use tcp_workloads::Benchmark;
 
 /// The outcome of simulating one benchmark with one prefetcher.
@@ -106,6 +102,11 @@ pub fn run_benchmark(
 /// Like [`run_benchmark`] with an explicit warm-up: the first
 /// `warmup_ops` micro-ops prime caches and predictor tables unmeasured,
 /// then `n_ops` are measured — the paper's skip-then-measure methodology.
+///
+/// # Panics
+///
+/// Panics where [`try_run_benchmark_warm`] under the default
+/// [`Watchdog`] returns an error: an invalid machine or a wedged run.
 pub fn run_benchmark_warm(
     bench: &Benchmark,
     warmup_ops: u64,
@@ -113,25 +114,10 @@ pub fn run_benchmark_warm(
     cfg: &SystemConfig,
     prefetcher: Box<dyn Prefetcher>,
 ) -> RunResult {
-    let name = prefetcher.name().to_owned();
-    let bytes = prefetcher.storage_bytes();
-    let mut hierarchy = MemoryHierarchy::new(cfg.hierarchy, prefetcher);
-    let mut core = OooCore::new(cfg.core);
-    let run = core.run_with_warmup(
-        bench.generator(warmup_ops + n_ops),
-        warmup_ops,
-        &mut hierarchy,
-    );
-    let stats = hierarchy.finalize();
-    RunResult {
-        benchmark: bench.name.to_owned(),
-        prefetcher: name,
-        prefetcher_bytes: bytes,
-        ipc: run.ipc(),
-        cycles: run.cycles,
-        ops: run.ops,
-        stats,
-    }
+    let watchdog = Watchdog::default();
+    let run = try_run_benchmark_warm(bench, warmup_ops, n_ops, cfg, prefetcher, &watchdog);
+    // tcp-lint: allow(panic-in-library) — documented panicking wrapper; fallible form is try_run_benchmark_warm
+    run.unwrap_or_else(|e| panic!("simulation failed: {e}"))
 }
 
 /// Checked run: validates `cfg`, then simulates `bench` for `n_ops`
@@ -176,9 +162,10 @@ pub fn try_run_benchmark(
     )
 }
 
-/// Checked run with explicit warm-up and watchdog. Produces results
-/// identical to [`run_benchmark_warm`] for healthy runs (both drive the
-/// same scheduling state op by op).
+/// Checked run with explicit warm-up and watchdog: the one single-run
+/// loop every other runner wraps. Steps a [`Simulation`] in chunks of
+/// [`Watchdog::check_interval_ops`] and checks forward progress after
+/// each full chunk.
 ///
 /// # Errors
 ///
@@ -194,37 +181,33 @@ pub fn try_run_benchmark_warm(
     cfg.validate()?;
     let name = prefetcher.name().to_owned();
     let bytes = prefetcher.storage_bytes();
-    let mut hierarchy = MemoryHierarchy::new(cfg.hierarchy, prefetcher);
-    let mut core = SteppedCore::new(cfg.core);
-    let gen = bench.generator(warmup_ops + n_ops);
+    let mut sim = Simulation::warm(bench, warmup_ops, n_ops, cfg, prefetcher);
     let interval = watchdog.check_interval_ops.max(1);
-    let mut i: u64 = 0;
-    for op in gen {
-        if i == warmup_ops && warmup_ops > 0 {
-            core.begin_measurement();
-            hierarchy.reset_stats();
-        }
-        core.step(op, &mut hierarchy);
-        i += 1;
-        if i.is_multiple_of(interval) {
-            let (ops, cycles) = (core.measured_ops(), core.cycles());
-            if cycles > watchdog.max_cycles_per_op.saturating_mul(ops.max(1)) {
+    loop {
+        let p = sim.step(interval);
+        if p.ops.is_multiple_of(interval) {
+            // Until the warm-up boundary is crossed, `cycles` spans the
+            // whole run, so it is weighed against every op executed.
+            let ops = if p.ops > warmup_ops {
+                p.ops - warmup_ops
+            } else {
+                p.ops
+            };
+            if p.cycles > watchdog.max_cycles_per_op.saturating_mul(ops.max(1)) {
                 return Err(RunError::Wedged {
                     benchmark: bench.name.to_owned(),
                     ops,
-                    cycles,
+                    cycles: p.cycles,
                     max_cycles_per_op: watchdog.max_cycles_per_op,
                 }
                 .into());
             }
         }
+        if p.done {
+            break;
+        }
     }
-    let mut run = core.snapshot();
-    // Mirror the batch runner's accounting for the degenerate all-warmup
-    // case (measurement boundary never crossed): zero measured ops, not
-    // the whole warmup.
-    run.ops = i.saturating_sub(warmup_ops.min(i));
-    let stats = hierarchy.finalize();
+    let (run, stats) = sim.finish();
     Ok(RunResult {
         benchmark: bench.name.to_owned(),
         prefetcher: name,
@@ -422,74 +405,9 @@ fn protected_run(
     }
 }
 
-/// Runs every benchmark in `benchmarks` for `n_ops` micro-ops, building a
-/// fresh prefetcher per benchmark from `factory`. Each benchmark runs
-/// inside a panic boundary: a failing benchmark yields a
-/// [`RunOutcome::Failed`] entry while the others complete normally.
-pub fn run_suite<F>(
-    benchmarks: &[Benchmark],
-    n_ops: u64,
-    cfg: &SystemConfig,
-    factory: F,
-) -> SuiteResult
-where
-    F: Fn() -> Box<dyn Prefetcher>,
-{
-    let outcomes = benchmarks
-        .iter()
-        .map(|b| protected_run(b, n_ops, cfg, &factory))
-        .collect();
-    SuiteResult { outcomes }
-}
-
-/// Applies `f` to every benchmark on worker threads, preserving order.
-/// The building block behind [`run_suite_parallel`] and the experiment
-/// harness's per-figure fan-out: each benchmark's simulations are
-/// independent and deterministic, so parallelism changes only wall-clock
-/// time.
-///
-/// A panic inside `f` does not abort the other benchmarks: every
-/// remaining benchmark still runs, and the first panic (in suite order)
-/// is re-raised once all workers have finished. Callers who need panics
-/// recorded rather than propagated should catch them inside `f` — see
-/// [`run_suite_parallel`], which maps benchmarks to [`RunOutcome`]s.
-pub fn map_benchmarks_parallel<T, F>(benchmarks: &[Benchmark], f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Benchmark) -> T + Sync,
-{
-    map_benchmarks_parallel_with_threads(benchmarks, crate::sweep::default_threads(), f)
-}
-
-/// [`map_benchmarks_parallel`] with an explicit worker-thread count
-/// instead of the machine's available parallelism. Results are
-/// independent of `threads` — the determinism tests sweep 1, 2, and 8
-/// workers and require identical outcomes.
-///
-/// Scheduling rides on the work-stealing pool of
-/// [`crate::sweep::run_jobs_stealing`]: each worker owns a contiguous
-/// block of suite indices and steals from other blocks' tails when its
-/// own drains, so one pathologically slow benchmark does not leave the
-/// remaining workers idle behind a shared-counter tail.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero, or re-raises the first (in suite order)
-/// panic from `f` after every benchmark has been processed.
-pub fn map_benchmarks_parallel_with_threads<T, F>(
-    benchmarks: &[Benchmark],
-    threads: usize,
-    f: F,
-) -> Vec<T>
-where
-    T: Send,
-    F: Fn(&Benchmark) -> T + Sync,
-{
-    crate::sweep::run_jobs_stealing(benchmarks.len(), threads, |i| f(&benchmarks[i]))
-}
-
-/// Like [`run_suite`] but simulating benchmarks on worker threads.
-/// Results are identical to the sequential runner (each benchmark's
+/// Runs every benchmark in `benchmarks` for `n_ops` micro-ops on worker
+/// threads, building a fresh prefetcher per benchmark from `factory`.
+/// Results do not depend on the thread count (each benchmark's
 /// simulation is self-contained and deterministic); only wall-clock time
 /// changes. The prefetcher factory must be callable from any thread and
 /// produce thread-transferable engines — every engine in this workspace
@@ -508,16 +426,16 @@ pub fn run_suite_parallel<F>(
 where
     F: Fn() -> Box<dyn Prefetcher + Send> + Sync,
 {
-    let outcomes = map_benchmarks_parallel(benchmarks, |b| {
-        protected_run(b, n_ops, cfg, || factory() as Box<dyn Prefetcher>)
-    });
-    SuiteResult { outcomes }
+    let threads = crate::sweep::default_threads();
+    run_suite_parallel_with_threads(benchmarks, threads, n_ops, cfg, factory)
 }
 
 /// [`run_suite_parallel`] with an explicit worker-thread count. Outcomes
-/// are identical for any `threads >= 1`: each benchmark's simulation is
-/// self-contained and deterministic, and results land in suite order
-/// regardless of which worker ran them.
+/// are identical for any `threads >= 1` and land in suite order
+/// regardless of which worker ran them; `threads = 1` is the sequential
+/// runner. Scheduling rides on the work-stealing pool of
+/// [`crate::sweep::run_jobs_stealing`], so one pathologically slow
+/// benchmark does not leave the remaining workers idle.
 ///
 /// # Panics
 ///
@@ -532,8 +450,10 @@ pub fn run_suite_parallel_with_threads<F>(
 where
     F: Fn() -> Box<dyn Prefetcher + Send> + Sync,
 {
-    let outcomes = map_benchmarks_parallel_with_threads(benchmarks, threads, |b| {
-        protected_run(b, n_ops, cfg, || factory() as Box<dyn Prefetcher>)
+    let outcomes = crate::sweep::run_jobs_stealing(benchmarks.len(), threads, |i| {
+        protected_run(&benchmarks[i], n_ops, cfg, || {
+            factory() as Box<dyn Prefetcher>
+        })
     });
     SuiteResult { outcomes }
 }
@@ -705,9 +625,10 @@ mod tests {
     #[test]
     fn suite_runner_covers_all_benchmarks() {
         let benches: Vec<_> = suite().into_iter().take(3).collect();
-        let s = run_suite(&benches, 20_000, &SystemConfig::table1(), || {
-            Box::new(NullPrefetcher)
-        });
+        let s =
+            run_suite_parallel_with_threads(&benches, 1, 20_000, &SystemConfig::table1(), || {
+                Box::new(NullPrefetcher)
+            });
         assert_eq!(s.outcomes.len(), 3);
         assert_eq!(s.ok_count(), 3);
         assert_eq!(s.failed_count(), 0);
@@ -720,7 +641,7 @@ mod tests {
     fn parallel_suite_matches_sequential() {
         let benches: Vec<_> = suite().into_iter().take(5).collect();
         let cfg = SystemConfig::table1();
-        let seq = run_suite(&benches, 25_000, &cfg, || {
+        let seq = run_suite_parallel_with_threads(&benches, 1, 25_000, &cfg, || {
             Box::new(Tcp::new(TcpConfig::tcp_8k()))
         });
         let par = run_suite_parallel(&benches, 25_000, &cfg, || {
@@ -823,9 +744,10 @@ mod tests {
     #[test]
     fn zero_ipc_run_makes_geomean_undefined_not_nan() {
         let b = suite().into_iter().next().unwrap();
-        let mut s = run_suite(&[b], 10_000, &SystemConfig::table1(), || {
-            Box::new(NullPrefetcher)
-        });
+        let mut s =
+            run_suite_parallel_with_threads(&[b], 1, 10_000, &SystemConfig::table1(), || {
+                Box::new(NullPrefetcher)
+            });
         let healthy = s.geomean_ipc().unwrap();
         assert!(healthy > 0.0);
         if let RunOutcome::Ok(r) = &mut s.outcomes[0] {
@@ -838,8 +760,9 @@ mod tests {
     fn geomean_improvement_of_healthy_suites_is_finite() {
         let benches: Vec<_> = suite().into_iter().take(2).collect();
         let cfg = SystemConfig::table1();
-        let base = run_suite(&benches, 20_000, &cfg, || Box::new(NullPrefetcher));
-        let tcp = run_suite(&benches, 20_000, &cfg, || {
+        let base =
+            run_suite_parallel_with_threads(&benches, 1, 20_000, &cfg, || Box::new(NullPrefetcher));
+        let tcp = run_suite_parallel_with_threads(&benches, 1, 20_000, &cfg, || {
             Box::new(Tcp::new(TcpConfig::tcp_8k()))
         });
         let imp = tcp.geomean_improvement(&base).unwrap();

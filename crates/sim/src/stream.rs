@@ -7,16 +7,17 @@
 //! core/hierarchy drivers through a [`BoundedRing`], so peak ingestion
 //! memory is O(chunk × ring depth) no matter how long the trace is:
 //!
-//! * [`replay_records`] — the materialized reference: replay decoded
-//!   records through a Table 1 core + hierarchy;
-//! * [`replay_stream`] — the streaming equivalent, decoding through a
-//!   bounded ring; **bit-identical** results to [`replay_records`] over
-//!   the same records (the `stream_engine` acceptance suite pins this);
+//! * [`replay_records`] — the materialized, ring-free reference: replay
+//!   decoded records through a Table 1 core + hierarchy;
 //! * [`TenantMux`] — interleaves K independent tenant streams through
 //!   one engine in deterministic round-robin quanta, with per-tenant
 //!   statistics, incremental [`TenantSnapshot`]s, and per-tenant fault
 //!   isolation (one corrupt trace surfaces as that tenant's
-//!   [`TraceError`] without poisoning its siblings);
+//!   [`TraceError`] without poisoning its siblings). Its lane loop is the
+//!   only ring refill/drain loop in the crate;
+//! * [`replay_stream`] — a one-tenant mux that fails whole on a corrupt
+//!   trace; **bit-identical** results to [`replay_records`] over the
+//!   same records (the `stream_engine` acceptance suite pins this);
 //! * [`SyntheticTrace`] — an O(1)-memory `Read` source generating a
 //!   well-formed trace of any length, for acceptance tests that must
 //!   stream traces much larger than the ring.
@@ -245,7 +246,7 @@ pub struct StreamReplay {
 /// Replays a serialized trace *while decoding it*, through a bounded
 /// ring: peak ingestion memory is `ring_capacity` records regardless of
 /// trace length. Tag/set/line fields are re-derived under the L1D
-/// geometry of `cfg`.
+/// geometry of `cfg`. This is a one-tenant [`TenantMux`] run.
 ///
 /// # Errors
 ///
@@ -258,39 +259,18 @@ pub fn replay_stream<R: Read>(
     prefetcher: Box<dyn Prefetcher>,
     opts: StreamOpts,
 ) -> Result<StreamReplay, SimError> {
+    cfg.validate()?;
     let opts = opts.validated();
-    cfg.validate().map_err(SimError::Config)?;
-    let mut reader = TraceReader::new(source, cfg.hierarchy.l1d)?;
-    let mut ring = BoundedRing::new(opts.ring_capacity());
-    let mut engine = ReplayEngine::new(cfg, prefetcher);
-    let mut records = 0u64;
-    let mut exhausted = false;
-    loop {
-        // Refill: pull whole chunks while a chunk's worth of room is
-        // free. The ring never exceeds its capacity; this loop is the
-        // entire ingestion memory of the pipeline.
-        while !exhausted && ring.free() >= STREAM_CHUNK {
-            match reader.next_chunk()? {
-                Some(chunk) => {
-                    for rec in chunk.records() {
-                        ring.push(rec);
-                    }
-                }
-                None => exhausted = true,
-            }
-        }
-        if ring.is_empty() {
-            break;
-        }
-        while let Some(rec) = ring.pop() {
-            engine.feed(rec);
-            records += 1;
-        }
+    let mut lanes = [Lane::new("", source, cfg, &opts, prefetcher)];
+    drive(&mut lanes, &opts, |_| {});
+    let [lane] = lanes;
+    if let Some(e) = lane.error {
+        return Err(SimError::Trace(e));
     }
     Ok(StreamReplay {
-        result: finish_engine(engine, records),
-        ring_high_water: ring.high_water(),
-        ring_capacity: ring.capacity(),
+        ring_high_water: lane.ring.high_water(),
+        ring_capacity: lane.ring.capacity(),
+        result: finish_engine(lane.engine, lane.records),
     })
 }
 
@@ -371,13 +351,133 @@ struct Lane<R> {
     done: bool,
 }
 
+impl<R: Read> Lane<R> {
+    /// A lane replaying `source` under `prefetcher`; a corrupt header
+    /// becomes the lane's `error`.
+    fn new(
+        name: &str,
+        source: R,
+        cfg: &SystemConfig,
+        opts: &StreamOpts,
+        prefetcher: Box<dyn Prefetcher>,
+    ) -> Self {
+        let prefetcher_name = prefetcher.name().to_owned();
+        let prefetcher_bytes = prefetcher.storage_bytes();
+        let engine = ReplayEngine::new(cfg, prefetcher);
+        let (reader, error) = match TraceReader::new(source, cfg.hierarchy.l1d) {
+            Ok(r) => (Some(r), None),
+            Err(e) => (None, Some(e)),
+        };
+        Lane {
+            name: name.to_owned(),
+            prefetcher: prefetcher_name,
+            prefetcher_bytes,
+            reader,
+            ring: BoundedRing::new(opts.ring_capacity()),
+            engine,
+            records: 0,
+            error,
+            next_snapshot: opts.snapshot_cycles,
+            done: false,
+        }
+    }
+
+    fn finish(self) -> TenantResult {
+        let result = finish_engine(self.engine, self.records);
+        TenantResult {
+            name: self.name,
+            prefetcher: self.prefetcher,
+            prefetcher_bytes: self.prefetcher_bytes,
+            records: self.records,
+            cycles: result.cycles,
+            ipc: result.ipc,
+            stats: result.stats,
+            error: self.error,
+            ring_high_water: self.ring.high_water(),
+            ring_capacity: self.ring.capacity(),
+        }
+    }
+}
+
+/// The ring loop: round-robin turns over `lanes` until every lane is
+/// done. Each turn refills a lane's ring by whole chunks, replays one
+/// quantum, and reports a [`TenantSnapshot`] to `sink` when the lane's
+/// cycle count crosses the next [`StreamOpts::snapshot_cycles`] mark.
+fn drive<R: Read>(lanes: &mut [Lane<R>], opts: &StreamOpts, mut sink: impl FnMut(TenantSnapshot)) {
+    let quantum = opts.quantum;
+    let every = opts.snapshot_cycles;
+    loop {
+        let mut active = false;
+        for (index, lane) in lanes.iter_mut().enumerate() {
+            if lane.done {
+                continue;
+            }
+            active = true;
+            // Refill this lane's ring by whole chunks. A decode error
+            // retires the reader but keeps the ring: whole records
+            // already decoded still replay, so the tenant's final
+            // statistics cover exactly the prefix before the corruption
+            // — same discipline as `TraceStream`.
+            while lane.ring.free() >= STREAM_CHUNK {
+                let Some(reader) = lane.reader.as_mut() else {
+                    break;
+                };
+                match reader.next_chunk() {
+                    Ok(Some(chunk)) => {
+                        for rec in chunk.records() {
+                            // tcp-lint: allow(alloc-in-hot-loop) — BoundedRing::push writes into a fixed-capacity buffer guarded by free() >= STREAM_CHUNK above
+                            lane.ring.push(rec);
+                        }
+                    }
+                    Ok(None) => {
+                        lane.reader = None;
+                    }
+                    Err(e) => {
+                        lane.error = Some(e);
+                        lane.reader = None;
+                    }
+                }
+            }
+            // One quantum of replay, then yield the turn.
+            let mut budget = quantum;
+            while budget > 0 {
+                let Some(rec) = lane.ring.pop() else {
+                    break;
+                };
+                lane.engine.feed(rec);
+                lane.records += 1;
+                budget -= 1;
+            }
+            if lane.reader.is_none() && lane.ring.is_empty() {
+                lane.done = true;
+            }
+            if every > 0 {
+                let cycles = lane.engine.core.cycles();
+                if cycles >= lane.next_snapshot {
+                    sink(TenantSnapshot {
+                        tenant: index,
+                        name: lane.name.clone(),
+                        records: lane.records,
+                        cycles,
+                        l1_misses: lane.engine.hierarchy.stats().l1_misses,
+                    });
+                    lane.next_snapshot = cycles.saturating_add(every);
+                }
+            }
+        }
+        if !active {
+            break;
+        }
+    }
+}
+
 /// Interleaves K independent tenant trace streams through one run:
 /// deterministic round-robin quanta over per-tenant bounded rings, with
 /// per-tenant statistics and fault isolation.
 ///
 /// Each tenant owns its core and hierarchy, so the interleaving is an
 /// engine-level multiplex — one driver loop, K machines — and a
-/// tenant's cycle outputs are bit-identical to a solo [`replay_stream`]
+/// tenant's cycle outputs are bit-identical to a solo [`replay_records`]
 /// of the same trace. A corrupt tenant retires early with its
 /// [`TraceError`] and the statistics of the whole-record prefix it did
 /// replay; sibling tenants are untouched.
@@ -424,25 +524,8 @@ impl<R: Read> TenantMux<R> {
     /// a lane — the error surfaces in its [`TenantResult`], never as a
     /// construction failure that would take the batch down.
     pub fn add_tenant(&mut self, name: &str, source: R, prefetcher: Box<dyn Prefetcher>) {
-        let prefetcher_name = prefetcher.name().to_owned();
-        let prefetcher_bytes = prefetcher.storage_bytes();
-        let engine = ReplayEngine::new(&self.cfg, prefetcher);
-        let (reader, error) = match TraceReader::new(source, self.cfg.hierarchy.l1d) {
-            Ok(r) => (Some(r), None),
-            Err(e) => (None, Some(e)),
-        };
-        self.lanes.push(Lane {
-            name: name.to_owned(),
-            prefetcher: prefetcher_name,
-            prefetcher_bytes,
-            reader,
-            ring: BoundedRing::new(self.opts.ring_capacity()),
-            engine,
-            records: 0,
-            error,
-            next_snapshot: self.opts.snapshot_cycles,
-            done: false,
-        });
+        let lane = Lane::new(name, source, &self.cfg, &self.opts, prefetcher);
+        self.lanes.push(lane);
     }
 
     /// Tenants registered so far.
@@ -458,93 +541,9 @@ impl<R: Read> TenantMux<R> {
     /// Runs every tenant to completion, invoking `sink` for each
     /// incremental [`TenantSnapshot`] (when
     /// [`StreamOpts::snapshot_cycles`] is non-zero).
-    pub fn run_with(mut self, mut sink: impl FnMut(TenantSnapshot)) -> Vec<TenantResult> {
-        let quantum = self.opts.quantum;
-        let every = self.opts.snapshot_cycles;
-        loop {
-            let mut active = false;
-            for (index, lane) in self.lanes.iter_mut().enumerate() {
-                if lane.done {
-                    continue;
-                }
-                active = true;
-                // Refill this lane's ring by whole chunks. A decode
-                // error retires the reader but keeps the ring: whole
-                // records already decoded still replay, so the tenant's
-                // final statistics cover exactly the prefix before the
-                // corruption — same discipline as `TraceStream`.
-                while lane.ring.free() >= STREAM_CHUNK {
-                    let Some(reader) = lane.reader.as_mut() else {
-                        break;
-                    };
-                    match reader.next_chunk() {
-                        Ok(Some(chunk)) => {
-                            for rec in chunk.records() {
-                                // tcp-lint: allow(alloc-in-hot-loop) — BoundedRing::push writes into a fixed-capacity buffer guarded by free() >= STREAM_CHUNK above
-                                lane.ring.push(rec);
-                            }
-                        }
-                        Ok(None) => {
-                            lane.reader = None;
-                        }
-                        Err(e) => {
-                            lane.error = Some(e);
-                            lane.reader = None;
-                        }
-                    }
-                }
-                // One quantum of replay, then yield the turn.
-                let mut budget = quantum;
-                while budget > 0 {
-                    let Some(rec) = lane.ring.pop() else {
-                        break;
-                    };
-                    lane.engine.feed(rec);
-                    lane.records += 1;
-                    budget -= 1;
-                }
-                if lane.reader.is_none() && lane.ring.is_empty() {
-                    lane.done = true;
-                }
-                if every > 0 {
-                    let cycles = lane.engine.core.cycles();
-                    if cycles >= lane.next_snapshot {
-                        sink(TenantSnapshot {
-                            tenant: index,
-                            name: lane.name.clone(),
-                            records: lane.records,
-                            cycles,
-                            l1_misses: lane.engine.hierarchy.stats().l1_misses,
-                        });
-                        lane.next_snapshot = cycles.saturating_add(every);
-                    }
-                }
-            }
-            if !active {
-                break;
-            }
-        }
-        self.lanes
-            .into_iter()
-            .map(|lane| {
-                let ring_high_water = lane.ring.high_water();
-                let ring_capacity = lane.ring.capacity();
-                let records = lane.records;
-                let result = finish_engine(lane.engine, records);
-                TenantResult {
-                    name: lane.name,
-                    prefetcher: lane.prefetcher,
-                    prefetcher_bytes: lane.prefetcher_bytes,
-                    records,
-                    cycles: result.cycles,
-                    ipc: result.ipc,
-                    stats: result.stats,
-                    error: lane.error,
-                    ring_high_water,
-                    ring_capacity,
-                }
-            })
-            .collect()
+    pub fn run_with(mut self, sink: impl FnMut(TenantSnapshot)) -> Vec<TenantResult> {
+        drive(&mut self.lanes, &self.opts, sink);
+        self.lanes.into_iter().map(Lane::finish).collect()
     }
 }
 
@@ -760,18 +759,13 @@ mod tests {
         let results = mux.run();
         assert_eq!(results.len(), sizes.len());
         for (i, (r, n)) in results.iter().zip(&sizes).enumerate() {
-            let solo = replay_stream(
-                SyntheticTrace::new(*n),
-                &cfg,
-                Box::new(NullPrefetcher),
-                StreamOpts::default(),
-            )
-            .unwrap();
+            let records = read_trace(synth_bytes(*n).as_slice(), cfg.hierarchy.l1d).unwrap();
+            let solo = replay_records(&records, &cfg, Box::new(NullPrefetcher));
             assert!(r.error.is_none(), "tenant {i}");
             assert_eq!(r.records, *n);
-            assert_eq!(r.cycles, solo.result.cycles, "tenant {i} cycles");
-            assert_eq!(r.stats, solo.result.stats, "tenant {i} stats");
-            assert_eq!(r.ipc.to_bits(), solo.result.ipc.to_bits());
+            assert_eq!(r.cycles, solo.cycles, "tenant {i} cycles");
+            assert_eq!(r.stats, solo.stats, "tenant {i} stats");
+            assert_eq!(r.ipc.to_bits(), solo.ipc.to_bits());
             let rr = r.to_run_result();
             assert_eq!(rr.benchmark, format!("tenant-{i}"));
             assert_eq!(rr.ops, *n);
@@ -812,17 +806,12 @@ mod tests {
         );
         assert!(torn_result.cycles > 0, "prefix statistics survive");
 
-        let solo = replay_stream(
-            SyntheticTrace::new(healthy_n),
-            &cfg,
-            Box::new(NullPrefetcher),
-            StreamOpts::default(),
-        )
-        .unwrap();
+        let records = read_trace(synth_bytes(healthy_n).as_slice(), cfg.hierarchy.l1d).unwrap();
+        let solo = replay_records(&records, &cfg, Box::new(NullPrefetcher));
         for at in [0usize, 2] {
             assert!(byte_sources[at].error.is_none());
-            assert_eq!(byte_sources[at].cycles, solo.result.cycles, "lane {at}");
-            assert_eq!(byte_sources[at].stats, solo.result.stats, "lane {at}");
+            assert_eq!(byte_sources[at].cycles, solo.cycles, "lane {at}");
+            assert_eq!(byte_sources[at].stats, solo.stats, "lane {at}");
         }
     }
 

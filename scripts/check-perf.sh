@@ -95,6 +95,9 @@ echo "== measure (${mode:---full}) =="
 # shellcheck disable=SC2086 # $mode is intentionally empty for --full
 ./target/release/tcp-perf $mode --warmup 2 --reps 9 --out "$current"
 
+# read_trace is the TraceReader chunk decoder plus collecting every record
+# into one Vec, so this ratio measures what materializing the records
+# costs over the shared chunk decode.
 echo
 echo "== streaming speedup gate (trace_stream_decode >= 1.3x trace_decode) =="
 ./target/release/tcp-perf ratio "$current" trace_stream_decode trace_decode --min 1.3

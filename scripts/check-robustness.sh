@@ -36,6 +36,13 @@ echo "== chunked-kernel equivalence suite (chunked vs scalar reference) =="
 cargo test -p tcp-cache --test kernel_equivalence
 
 echo
+echo "== seeded property suites (core scheduling, single-run loop and"
+echo "   warm-up equality, streaming decode/replay bit-identity) =="
+cargo test --test cpu_properties
+cargo test --test sim_properties
+cargo test --test streaming_properties
+
+echo
 echo "== streaming-engine acceptance (bit-identity, tenant isolation,"
 echo "   bounded-memory run over a synthetic trace >= 4x ring capacity) =="
 cargo test --test stream_engine

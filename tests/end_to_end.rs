@@ -3,7 +3,7 @@
 
 use tcp_repro::cache::NullPrefetcher;
 use tcp_repro::core::{Tcp, TcpConfig};
-use tcp_repro::sim::{run_benchmark, run_suite, SystemConfig};
+use tcp_repro::sim::{run_benchmark, run_suite_parallel_with_threads, SystemConfig};
 use tcp_repro::workloads::suite;
 
 const OPS: u64 = 100_000;
@@ -84,10 +84,10 @@ fn prefetcher_never_makes_demand_results_unsound() {
 fn suite_runner_is_deterministic_across_invocations() {
     let machine = SystemConfig::table1();
     let benches: Vec<_> = suite().into_iter().take(4).collect();
-    let a = run_suite(&benches, 50_000, &machine, || {
+    let a = run_suite_parallel_with_threads(&benches, 1, 50_000, &machine, || {
         Box::new(Tcp::new(TcpConfig::tcp_8k()))
     });
-    let b = run_suite(&benches, 50_000, &machine, || {
+    let b = run_suite_parallel_with_threads(&benches, 1, 50_000, &machine, || {
         Box::new(Tcp::new(TcpConfig::tcp_8k()))
     });
     assert_eq!(a.failed_count(), 0);

@@ -11,8 +11,8 @@ use tcp_repro::sim::faults::{
     zero_ipc_baseline, TraceFault, TRACE_FAULTS,
 };
 use tcp_repro::sim::{
-    run_suite, run_suite_parallel, try_ipc_improvement, try_run_benchmark, RunError, RunOutcome,
-    SimError, SystemConfig,
+    run_suite_parallel, run_suite_parallel_with_threads, try_ipc_improvement, try_run_benchmark,
+    RunError, RunOutcome, SimError, SystemConfig,
 };
 use tcp_repro::workloads::suite;
 
@@ -50,7 +50,7 @@ fn panicking_benchmark_does_not_abort_the_parallel_suite() {
 #[test]
 fn sequential_suite_isolates_the_same_panic() {
     let benches = vec![panicking_benchmark(), suite().remove(0)];
-    let s = run_suite(&benches, OPS, &SystemConfig::table1(), || {
+    let s = run_suite_parallel_with_threads(&benches, 1, OPS, &SystemConfig::table1(), || {
         Box::new(NullPrefetcher)
     });
     assert_eq!(s.ok_count(), 1);
@@ -78,7 +78,7 @@ fn invalid_config_fails_every_benchmark_with_a_typed_error() {
     let mut cfg = SystemConfig::table1();
     cfg.hierarchy.l1_mshrs = 0;
     let benches: Vec<_> = suite().into_iter().take(3).collect();
-    let s = run_suite(&benches, OPS, &cfg, || Box::new(NullPrefetcher));
+    let s = run_suite_parallel_with_threads(&benches, 1, OPS, &cfg, || Box::new(NullPrefetcher));
     assert_eq!(s.failed_count(), 3);
     for (_, err) in s.failures() {
         assert!(matches!(err, SimError::Config(_)), "{err}");

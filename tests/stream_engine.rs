@@ -117,31 +117,27 @@ fn mux_interleaving_matches_solo_runs_with_mixed_prefetchers() {
     let results = mux.run();
     assert_eq!(results.len(), 2);
 
-    let solo_art = replay_stream(
-        art.as_slice(),
+    let solo_art = replay_records(
+        &read_trace(art.as_slice(), cfg.hierarchy.l1d).unwrap(),
         &cfg,
         Box::new(Tcp::new(TcpConfig::tcp_8k())),
-        StreamOpts::default(),
-    )
-    .unwrap();
-    let solo_swim = replay_stream(
-        swim.as_slice(),
+    );
+    let solo_swim = replay_records(
+        &read_trace(swim.as_slice(), cfg.hierarchy.l1d).unwrap(),
         &cfg,
         Box::new(NullPrefetcher),
-        StreamOpts::default(),
-    )
-    .unwrap();
+    );
 
     for (r, solo) in results.iter().zip([&solo_art, &solo_swim]) {
         assert!(r.error.is_none(), "{}: unexpected error", r.name);
-        assert_eq!(r.cycles, solo.result.cycles, "{}: cycles diverged", r.name);
-        assert_eq!(r.stats, solo.result.stats, "{}: stats diverged", r.name);
-        assert_eq!(r.records, solo.result.records, "{}", r.name);
+        assert_eq!(r.cycles, solo.cycles, "{}: cycles diverged", r.name);
+        assert_eq!(r.stats, solo.stats, "{}: stats diverged", r.name);
+        assert_eq!(r.records, solo.records, "{}", r.name);
     }
     // SweepEngine-compatible conversion carries the tenant identity.
     let rr = results[0].to_run_result();
     assert_eq!(rr.benchmark, "art-tcp");
-    assert_eq!(rr.cycles, solo_art.result.cycles);
+    assert_eq!(rr.cycles, solo_art.cycles);
     assert!(rr.prefetcher_bytes > 0, "TCP tables have real storage");
 }
 
@@ -182,16 +178,14 @@ fn mid_stream_corruption_stays_inside_the_faulty_tenant() {
 
     // The healthy sibling is bit-identical to a solo run: neither the
     // torn nor the silently-corrupt lane poisoned it.
-    let solo = replay_stream(
-        healthy.as_slice(),
+    let solo = replay_records(
+        &read_trace(healthy.as_slice(), cfg.hierarchy.l1d).unwrap(),
         &cfg,
         Box::new(NullPrefetcher),
-        StreamOpts::default(),
-    )
-    .unwrap();
+    );
     assert!(results[0].error.is_none());
-    assert_eq!(results[0].cycles, solo.result.cycles);
-    assert_eq!(results[0].stats, solo.result.stats);
+    assert_eq!(results[0].cycles, solo.cycles);
+    assert_eq!(results[0].stats, solo.stats);
     assert_eq!(results[0].records, 2_000);
 }
 
