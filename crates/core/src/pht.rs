@@ -109,11 +109,30 @@ impl PhtConfig {
     }
 }
 
+/// Rows reserved when a table is built: a table of at most this many
+/// sets (TCP-8K and every Figure 13 size up to 128 KB) never
+/// reallocates, and a larger one (TCP-8M) starts here and doubles. The
+/// reservation is address space only; a row's pages are touched when the
+/// row is materialised.
+const INITIAL_ROWS: usize = 4096;
+
 /// A set-associative pattern history table.
 ///
-/// Entry state is struct-of-arrays: the truncated entry tags sit in a
-/// dense `u64` array so the per-set probe is one chunked
-/// [`kernels::find_tag`] sweep against the set's occupancy bitmask, and
+/// State is kept per *materialised row*, not per configured set: the
+/// directory `row_of` maps each PHT set to the row holding its ways, and
+/// a set gets a row the first time it is trained. Building a table
+/// therefore costs its directory (4 bytes per set) and resident memory
+/// grows with the sets actually trained, so the idealised 8 MB TCP-8M
+/// table costs a short job only the few thousand sets it touches.
+/// Row 0 is an empty sentinel that every untouched set maps to, so a
+/// lookup on such a set misses through the ordinary probe and
+/// materialises nothing. [`size_bytes`](Self::size_bytes) and
+/// [`occupancy`](Self::occupancy) stay in terms of the nominal
+/// `sets × assoc` table.
+///
+/// Within the rows, entry state is struct-of-arrays: the truncated entry
+/// tags sit in a dense `u64` array so the per-set probe is one chunked
+/// [`kernels::find_tag`] sweep against the row's occupancy bitmask, and
 /// LRU victim selection is a chunked [`kernels::min_index`] over the
 /// contiguous `last_use` row — the same kernels the simulator's caches
 /// use (see DESIGN.md §12).
@@ -129,14 +148,18 @@ impl PhtConfig {
 /// let set = SetIndex::new(17);
 /// pht.train(&seq, Tag::new(5), set);
 /// assert_eq!(pht.lookup(&seq, set), Some(Tag::new(5)));
+/// assert_eq!(pht.rows(), 1);
 /// ```
 #[derive(Clone, Debug)]
 pub struct PatternHistoryTable {
     cfg: PhtConfig,
-    /// Truncated entry tag per way (row-major, `sets × assoc`). Only
+    /// Row directory, one entry per PHT set: the row holding the set's
+    /// ways, or 0 (the empty sentinel row) if the set was never trained.
+    row_of: Vec<u32>,
+    /// Truncated entry tag per way (row-major, `rows × assoc`). Only
     /// ways whose `valid` bit is set hold a meaningful value.
     tags: Vec<u64>,
-    /// Per-set occupancy bitmask (bit `w` = way `w` holds an entry).
+    /// Per-row occupancy bitmask (bit `w` = way `w` holds an entry).
     valid: Vec<u64>,
     /// LRU stamp per way.
     last_use: Vec<u64>,
@@ -179,19 +202,37 @@ impl PatternHistoryTable {
             "tag width out of range"
         );
         assert!(cfg.targets >= 1, "entries must store at least one target");
-        let ways = cfg.sets as usize * cfg.assoc as usize;
-        PatternHistoryTable {
+        // The sentinel plus one row per set, up to the initial reserve.
+        let rows = (cfg.sets as usize).min(INITIAL_ROWS) + 1;
+        let ways = rows * cfg.assoc as usize;
+        let mut pht = PatternHistoryTable {
             cfg,
-            tags: vec![0; ways],
-            valid: vec![0; cfg.sets as usize],
-            last_use: vec![0; ways],
-            n_targets: vec![0; ways],
-            targets: vec![Tag::default(); ways * cfg.targets as usize],
+            row_of: vec![0; cfg.sets as usize],
+            tags: Vec::with_capacity(ways),
+            valid: Vec::with_capacity(rows),
+            last_use: Vec::with_capacity(ways),
+            n_targets: Vec::with_capacity(ways),
+            targets: Vec::with_capacity(ways * cfg.targets as usize),
             order: 0,
             trains: 0,
             lookups: 0,
             hits: 0,
-        }
+        };
+        pht.push_row();
+        pht
+    }
+
+    /// Appends one empty row and returns its number.
+    fn push_row(&mut self) -> usize {
+        let row = self.valid.len();
+        let ways = (row + 1) * self.cfg.assoc as usize;
+        self.valid.push(0);
+        self.tags.resize(ways, 0);
+        self.last_use.resize(ways, 0);
+        self.n_targets.resize(ways, 0);
+        self.targets
+            .resize(ways * self.cfg.targets as usize, Tag::default());
+        row
     }
 
     /// The table configuration.
@@ -202,6 +243,11 @@ impl PatternHistoryTable {
     /// Total storage in bytes.
     pub fn size_bytes(&self) -> usize {
         self.cfg.size_bytes()
+    }
+
+    /// Materialised rows: the PHT sets trained at least once.
+    pub fn rows(&self) -> usize {
+        self.valid.len() - 1
     }
 
     /// `(trains, lookups, lookup hits)` since construction.
@@ -239,9 +285,19 @@ impl PatternHistoryTable {
         let etag = self.entry_tag(seq);
         let next = next.truncate(self.cfg.tag_bits);
         let assoc = self.cfg.assoc as usize;
-        let base = set * assoc;
+        let row = match self.row_of[set] {
+            0 => {
+                // First train of this set: materialise its row. Rows never
+                // outnumber sets + 1, so the row number fits the u32 directory.
+                let row = self.push_row();
+                self.row_of[set] = row as u32;
+                row
+            }
+            row => row as usize,
+        };
+        let base = row * assoc;
         let max_targets = self.cfg.targets as usize;
-        let vm = self.valid[set];
+        let vm = self.valid[row];
         // Existing entry for this sequence tag?
         if let Some(w) = kernels::find_tag(&self.tags[base..base + assoc], vm, etag.raw()) {
             let way = base + w;
@@ -273,7 +329,7 @@ impl PatternHistoryTable {
         };
         let way = base + w;
         self.tags[way] = etag.raw();
-        self.valid[set] = vm | 1 << w;
+        self.valid[row] = vm | 1 << w;
         self.last_use[way] = self.order;
         self.n_targets[way] = 1;
         let slot = way * max_targets;
@@ -285,7 +341,7 @@ impl PatternHistoryTable {
     /// set `miss_index`.
     pub fn lookup(&mut self, seq: &[Tag], miss_index: SetIndex) -> Option<Tag> {
         let way = self.find_and_touch(seq, miss_index)?;
-        // tcp-lint: allow(overflow-provenance) — way < sets·ways and targets ≤ 8, so the arena index is far below usize::MAX
+        // tcp-lint: allow(overflow-provenance) — way < rows·assoc ≤ (sets + 1)·64 and targets ≤ 8, so the arena index is far below usize::MAX
         Some(self.targets[way * self.cfg.targets as usize])
     }
 
@@ -309,18 +365,23 @@ impl PatternHistoryTable {
         let set = self.index(seq, miss_index);
         let etag = self.entry_tag(seq);
         let assoc = self.cfg.assoc as usize;
-        let base = set * assoc;
-        let w = kernels::find_tag(&self.tags[base..base + assoc], self.valid[set], etag.raw())?;
+        // An untouched set maps to the sentinel row, whose empty mask
+        // makes the probe miss.
+        let row = self.row_of[set] as usize;
+        let base = row * assoc;
+        let w = kernels::find_tag(&self.tags[base..base + assoc], self.valid[row], etag.raw())?;
         let way = base + w;
         self.last_use[way] = self.order;
         self.hits += 1;
         Some(way)
     }
 
-    /// Fraction of occupied entries (table utilisation).
+    /// Fraction of the nominal `sets × assoc` entries that are occupied
+    /// (table utilisation).
     pub fn occupancy(&self) -> f64 {
         let used: u32 = self.valid.iter().map(|m| m.count_ones()).sum();
-        used as f64 / self.tags.len() as f64
+        let entries = self.cfg.sets as usize * self.cfg.assoc as usize;
+        used as f64 / entries as f64
     }
 }
 
@@ -444,6 +505,52 @@ mod tests {
             pht.train(&[t(i), t(i + 1)], t(i + 2), s(0));
         }
         assert!(pht.occupancy() > 0.1);
+    }
+
+    #[test]
+    fn fresh_table_holds_no_rows() {
+        assert_eq!(PatternHistoryTable::new(PhtConfig::pht_8m()).rows(), 0);
+        assert_eq!(PatternHistoryTable::new(PhtConfig::pht_8k()).rows(), 0);
+    }
+
+    #[test]
+    fn training_k_distinct_sets_makes_k_rows() {
+        // n = 10: one sequence trained at k L1 sets lands in k PHT sets.
+        let mut pht = PatternHistoryTable::new(PhtConfig::pht_8m());
+        let seq = [t(5), t(6)];
+        for k in 0..100u32 {
+            pht.train(&seq, t(7), s(k));
+            assert_eq!(pht.rows(), k as usize + 1);
+        }
+        // Retraining a materialised set reuses its row, with the same
+        // pattern or with another one of the same tag sum (5 + 6 = 4 + 7).
+        pht.train(&seq, t(8), s(0));
+        pht.train(&[t(4), t(7)], t(11), s(1));
+        assert_eq!(pht.rows(), 100);
+    }
+
+    #[test]
+    fn lookups_on_untouched_sets_materialise_nothing() {
+        let mut pht = PatternHistoryTable::new(PhtConfig::pht_8m());
+        let mut out = Vec::new();
+        for k in 0..1024u32 {
+            assert_eq!(pht.lookup(&[t(k.into()), t(1)], s(k)), None);
+            pht.lookup_targets(&[t(1), t(k.into())], s(k), &mut out);
+        }
+        assert!(out.is_empty());
+        assert_eq!(pht.rows(), 0);
+        assert_eq!(pht.counters(), (0, 2048, 0));
+        assert_eq!(pht.occupancy(), 0.0);
+    }
+
+    #[test]
+    fn tcp_8m_storage_stays_the_nominal_paper_cost() {
+        // The cost model and the Figure 13 x-axis count the configured
+        // table, not the rows a run happens to materialise.
+        use tcp_cache::Prefetcher;
+        let tcp = crate::Tcp::new(crate::TcpConfig::tcp_8m());
+        assert_eq!(tcp.storage_bytes(), 8_392_704);
+        assert_eq!(tcp.pht().rows(), 0);
     }
 
     #[test]

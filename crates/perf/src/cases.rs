@@ -16,7 +16,7 @@ use tcp_experiments::sweep::{Job, PrefetcherSpec, SweepEngine};
 use tcp_lint::{find_workspace_root, workspace_sources, ParsedWorkspace, SourceFile};
 use tcp_mem::{Addr, MemAccess};
 use tcp_sim::stream::{StreamOpts, TenantMux};
-use tcp_sim::{run_suite_parallel, SystemConfig};
+use tcp_sim::{run_benchmark, run_suite_parallel, SystemConfig};
 use tcp_workloads::{suite, Benchmark};
 
 use std::path::Path;
@@ -77,6 +77,14 @@ pub const CASES: &[CaseSpec] = &[
     CaseSpec {
         name: "suite_parallel",
         about: "run_suite_parallel over all 26 benchmarks with TCP-8K (the full-sweep hot path)",
+    },
+    CaseSpec {
+        name: "short_jobs_null",
+        about: "26 single-threaded 10k-op run_benchmark jobs with no prefetcher: per-job machine construction plus simulation",
+    },
+    CaseSpec {
+        name: "short_jobs_tcp8m",
+        about: "the same 26 short jobs with TCP-8M: gated as a ratio to short_jobs_null, so building its 8 MB PHT must stay cheap",
     },
     CaseSpec {
         name: "sweep_memoized",
@@ -402,6 +410,30 @@ fn suite_parallel(smoke: bool, opts: MeasureOpts) -> CaseResult {
     })
 }
 
+/// Micro-ops per job for the short-job pair: the size of a `tcp-serve`
+/// request, where building the machine is a large share of a job. Both
+/// sizes use it, since what the pair measures is per-job set-up.
+const SHORT_JOB_OPS: u64 = 10_000;
+
+/// Every suite benchmark as one short job on one thread, each with a
+/// fresh machine and prefetcher from `prefetcher`. The checksum is the
+/// exact sum of measured cycles.
+fn short_jobs(
+    name: &str,
+    opts: MeasureOpts,
+    prefetcher: impl Fn() -> Box<dyn Prefetcher>,
+) -> CaseResult {
+    let benches = suite();
+    let cfg = SystemConfig::table1();
+    let units = benches.len() as u64 * SHORT_JOB_OPS;
+    measure(name, "uops", units, opts, || {
+        benches
+            .iter()
+            .map(|b| run_benchmark(b, SHORT_JOB_OPS, &cfg, prefetcher()).cycles)
+            .sum()
+    })
+}
+
 fn sweep_memoized(smoke: bool, opts: MeasureOpts) -> CaseResult {
     let n_ops: u64 = if smoke { 8_000 } else { 30_000 };
     let benches = suite();
@@ -503,6 +535,10 @@ pub fn run_cases(
             "lint_semantic" => lint_semantic(smoke, opts),
             "lint_dataflow" => lint_dataflow(smoke, opts),
             "suite_parallel" => suite_parallel(smoke, opts),
+            "short_jobs_null" => short_jobs(spec.name, opts, || Box::new(NullPrefetcher)),
+            "short_jobs_tcp8m" => {
+                short_jobs(spec.name, opts, || Box::new(Tcp::new(TcpConfig::tcp_8m())))
+            }
             "sweep_memoized" => sweep_memoized(smoke, opts),
             "memo_store_roundtrip" => memo_store_roundtrip(smoke, opts),
             other => unreachable!("unknown case {other}"),

@@ -1,6 +1,5 @@
 //! Deterministic parallel sweep execution: a work-stealing job pool with
-//! order-preserving results, plus key-based memoization that runs each
-//! distinct job once and shares its result.
+//! order-preserving results.
 //!
 //! # Why work stealing
 //!
@@ -22,16 +21,8 @@
 //! produced it, and panics are re-raised in job order. The determinism
 //! suite pins the stronger end-to-end property (identical simulation
 //! results at 1, 2, and 8 workers).
-//!
-//! # Memoization
-//!
-//! [`run_jobs_memoized`] assigns each job a caller-provided key, executes
-//! only the first job of each distinct key, and clones that result into
-//! every duplicate's slot. Keys live in a `BTreeMap`, so deduplication
-//! order — and therefore which index executes — is a pure function of the
-//! input, never of hash or schedule state.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Mutex;
 
@@ -143,65 +134,6 @@ where
     out
 }
 
-/// Execution accounting for one memoized batch: how many results were
-/// requested and how many jobs actually ran.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct MemoStats {
-    /// Results requested (length of the key slice).
-    pub requested: usize,
-    /// Jobs executed — one per distinct key.
-    pub executed: usize,
-}
-
-impl MemoStats {
-    /// Requests served by cloning an already-computed result.
-    pub fn hits(&self) -> usize {
-        self.requested - self.executed
-    }
-}
-
-/// Like [`run_jobs_stealing`], but jobs with equal keys run once: for
-/// each distinct key the *first* job index carrying it executes, and its
-/// result is cloned into every later duplicate's slot.
-///
-/// The caller's key must capture everything `f` depends on; two jobs with
-/// equal keys are asserted (by construction, not at runtime) to produce
-/// identical results. Simulation jobs qualify — they are deterministic
-/// functions of benchmark, scale, machine, and prefetcher configuration.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero, or re-raises the first executing job's
-/// panic as [`run_jobs_stealing`] does.
-pub fn run_jobs_memoized<K, T, F>(keys: &[K], threads: usize, f: F) -> (Vec<T>, MemoStats)
-where
-    K: Ord,
-    T: Send + Clone,
-    F: Fn(usize) -> T + Sync,
-{
-    let mut first: BTreeMap<&K, usize> = BTreeMap::new();
-    // For each distinct key in first-seen order, the job index to run…
-    let mut uniques: Vec<usize> = Vec::new();
-    // …and for each requested job, the unique slot serving it.
-    let mut owner: Vec<usize> = Vec::with_capacity(keys.len());
-    for (i, key) in keys.iter().enumerate() {
-        let u = *first.entry(key).or_insert_with(|| {
-            uniques.push(i);
-            uniques.len() - 1
-        });
-        owner.push(u);
-    }
-    let results = run_jobs_stealing(uniques.len(), threads, |u| f(uniques[u]));
-    let out = owner.iter().map(|&u| results[u].clone()).collect();
-    (
-        out,
-        MemoStats {
-            requested: keys.len(),
-            executed: uniques.len(),
-        },
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -282,51 +214,5 @@ mod tests {
             .expect("string payload");
         assert_eq!(msg, "boom-three", "earliest job's panic is re-raised");
         assert_eq!(ran.load(Ordering::Relaxed), 10, "no job was skipped");
-    }
-
-    #[test]
-    fn memoized_runs_each_distinct_key_once() {
-        let executions = AtomicUsize::new(0);
-        let keys = ["a", "b", "a", "c", "b", "a"];
-        let (out, stats) = run_jobs_memoized(&keys, 4, |i| {
-            executions.fetch_add(1, Ordering::Relaxed);
-            format!("{}!", keys[i])
-        });
-        assert_eq!(out, ["a!", "b!", "a!", "c!", "b!", "a!"]);
-        assert_eq!(executions.load(Ordering::Relaxed), 3);
-        assert_eq!(
-            stats,
-            MemoStats {
-                requested: 6,
-                executed: 3
-            }
-        );
-        assert_eq!(stats.hits(), 3);
-    }
-
-    #[test]
-    fn memoized_executes_the_first_occurrence_index() {
-        let keys = ["x", "y", "x"];
-        let (out, _) = run_jobs_memoized(&keys, 2, |i| i);
-        // Duplicates are served by the first index that carried the key.
-        assert_eq!(out, [0, 1, 0]);
-    }
-
-    #[test]
-    fn memoized_empty_batch() {
-        let keys: [u32; 0] = [];
-        let (out, stats) = run_jobs_memoized(&keys, 2, |_| 0u32);
-        assert!(out.is_empty());
-        assert_eq!(stats, MemoStats::default());
-    }
-
-    #[test]
-    fn memoized_determinism_across_thread_counts() {
-        let keys: Vec<u64> = (0..40).map(|i| i % 7).collect();
-        let reference = run_jobs_memoized(&keys, 1, |i| keys[i] * 1000 + i as u64);
-        for threads in [2, 8] {
-            let got = run_jobs_memoized(&keys, threads, |i| keys[i] * 1000 + i as u64);
-            assert_eq!(got, reference, "{threads} threads");
-        }
     }
 }

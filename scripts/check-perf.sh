@@ -81,6 +81,9 @@ if [ "$promote" = 1 ]; then
     echo
     echo "== streaming speedup gate on $promote_file =="
     ./target/release/tcp-perf ratio "$promote_file" trace_stream_decode trace_decode --min 1.3
+    echo
+    echo "== short-job set-up gate on $promote_file =="
+    ./target/release/tcp-perf ratio "$promote_file" short_jobs_tcp8m short_jobs_null --min 0.6
     mkdir -p bench
     cp "$promote_file" "$baseline"
     echo
@@ -101,6 +104,14 @@ echo "== measure (${mode:---full}) =="
 echo
 echo "== streaming speedup gate (trace_stream_decode >= 1.3x trace_decode) =="
 ./target/release/tcp-perf ratio "$current" trace_stream_decode trace_decode --min 1.3
+
+# The same 26 short jobs with and without TCP-8M. Its PHT materialises
+# rows on first train, so a job pays for the sets it touches; a table
+# built dense again (8 MB nominal, ~58 MB of planes) drops this ratio
+# from 0.72–0.79 to 0.12.
+echo
+echo "== short-job set-up gate (short_jobs_tcp8m >= 0.6x short_jobs_null) =="
+./target/release/tcp-perf ratio "$current" short_jobs_tcp8m short_jobs_null --min 0.6
 
 if [ "$update" = 1 ]; then
     mkdir -p bench

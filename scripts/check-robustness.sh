@@ -36,6 +36,10 @@ echo "== chunked-kernel equivalence suite (chunked vs scalar reference) =="
 cargo test -p tcp-cache --test kernel_equivalence
 
 echo
+echo "== PHT equivalence suite (row-materialising vs dense reference) =="
+cargo test -p tcp-core --test pht_equivalence
+
+echo
 echo "== seeded property suites (core scheduling, single-run loop and"
 echo "   warm-up equality, streaming decode/replay bit-identity) =="
 cargo test --test cpu_properties
